@@ -5,9 +5,14 @@
 //! unbounded, fast, release-mode search.
 //!
 //! ```text
-//! cargo run --release -p bench --bin hunt          # straight-line
-//! cargo run --release -p bench --bin hunt -- loop  # hot loops
+//! cargo run --release -p bench --bin hunt                             # straight-line
+//! cargo run --release -p bench --bin hunt -- loop                     # hot loops
+//! cargo run --release -p bench --bin hunt -- loop --seeds 1..500      # seeds 1 to 500
 //! ```
+//!
+//! `--seeds A..B` runs seeds `A` through `B` inclusive (default
+//! `1..4000`). The exit code is 0 when every program agrees, 1 on the
+//! first divergence (after printing it), and 2 on a bad argument.
 //!
 //! Note: generated programs may legitimately fail to terminate when a
 //! byte-size write hits CH (ECX's second byte); both sides then agree
@@ -84,9 +89,46 @@ fn gen_inst(x: &mut u64) -> Inst {
     }
 }
 
+/// Parses `A..B` into the inclusive seed range `A..=B`.
+fn parse_seeds(s: &str) -> Option<std::ops::RangeInclusive<u64>> {
+    let (a, b) = s.split_once("..")?;
+    let (a, b) = (a.parse().ok()?, b.parse().ok()?);
+    (a <= b).then_some(a..=b)
+}
+
+fn usage(msg: &str) -> ! {
+    eprintln!("hunt: {msg}\nusage: hunt [loop] [--seeds A..B]");
+    std::process::exit(2);
+}
+
+/// Prints a divergence with the program that caused it and exits 1.
+fn diverged(seed: u64, what: &str, body: &[Inst]) -> ! {
+    println!("SEED {seed}: {what}");
+    for i in body {
+        println!("  {i}");
+    }
+    std::process::exit(1);
+}
+
 fn main() {
-    let mode = std::env::args().nth(1).unwrap_or_default();
-    for seed in 1..=4000u64 {
+    let mut mode = String::new();
+    let mut seeds = 1..=4000u64;
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        if let Some(v) = arg.strip_prefix("--seeds") {
+            let v = match v.strip_prefix('=') {
+                Some(v) => v.to_string(),
+                None if v.is_empty() => args.next().unwrap_or_default(),
+                None => usage(&format!("unknown flag {arg}")),
+            };
+            seeds = parse_seeds(&v).unwrap_or_else(|| usage(&format!("bad seed range {v:?}")));
+        } else if arg == "loop" && mode.is_empty() {
+            mode = arg;
+        } else {
+            usage(&format!("unexpected argument {arg:?}"));
+        }
+    }
+    for seed in seeds {
         let mut x = (seed * 0x9E3779B97F4A7C15) | 1;
         let n = 1 + (rng(&mut x) % 10) as usize;
         let iters = 200 + (rng(&mut x) % 400) as i32;
@@ -125,36 +167,20 @@ fn main() {
         match (&oend, &tout) {
             (Ok(ia32::Event::Halt), btgeneric::engine::Outcome::Halted(tcpu)) => {
                 if interp.cpu.gpr != tcpu.gpr {
-                    println!(
-                        "SEED {seed}: GPR mismatch\n  {:x?}\n  {:x?}",
-                        interp.cpu.gpr, tcpu.gpr
-                    );
-                    for i in &body {
-                        println!("  {i}");
-                    }
-                    return;
+                    let what = format!("GPR mismatch\n  {:x?}\n  {:x?}", interp.cpu.gpr, tcpu.gpr);
+                    diverged(seed, &what, &body);
                 }
                 let of = interp.cpu.eflags & 0x8D5;
                 let tf = tcpu.eflags & 0x8D5;
                 if of != tf {
-                    println!("SEED {seed}: FLAGS mismatch {of:#x} vs {tf:#x}");
-                    for i in &body {
-                        println!("  {i}");
-                    }
-                    return;
+                    diverged(seed, &format!("FLAGS mismatch {of:#x} vs {tf:#x}"), &body);
                 }
             }
             (Ok(ia32::Event::Continue), btgeneric::engine::Outcome::InstLimit) => {
                 // Both sides hit their budgets (a legitimately
                 // non-terminating random program): agreement.
             }
-            (o, t) => {
-                println!("SEED {seed}: outcome mismatch {o:?} vs {t:?}");
-                for i in &body {
-                    println!("  {i}");
-                }
-                return;
-            }
+            (o, t) => diverged(seed, &format!("outcome mismatch {o:?} vs {t:?}"), &body),
         }
         if seed % 500 == 0 {
             println!("...{seed} ok");

@@ -24,18 +24,7 @@ pub(super) fn lvn(ils: &mut Vec<HotIl>) {
     // Only virtuals with a single definition participate (deleting one
     // of several defs, or replacing uses with a later-redefined holder,
     // would be wrong).
-    let mut def_count: HashMap<u16, u32> = HashMap::new();
-    for il in ils.iter() {
-        il.inst.op.visit_regs(&mut |r, is_def| {
-            if is_def {
-                if let Reg::G(g) = r {
-                    if g.is_virtual() {
-                        *def_count.entry(g.0).or_default() += 1;
-                    }
-                }
-            }
-        });
-    }
+    let def_count = virtual_def_counts(ils.iter().map(|il| &il.inst));
     let mut subst: HashMap<u16, Gr> = HashMap::new(); // virtual -> replacement
                                                       // Copy propagation: virtual v is a copy of physical p taken at
                                                       // version n; uses of v read p directly while p is unmodified.
@@ -302,18 +291,7 @@ fn fits_addl(v: u64) -> bool {
 /// `movl`/`addl`-materialized constants, `add` with a constant operand,
 /// immediate-add chains, and shifts of constants.
 pub(super) fn propagate(irs: &mut [IrInst]) {
-    let mut def_count: HashMap<u16, u32> = HashMap::new();
-    for x in irs.iter() {
-        x.inst.op.visit_regs(&mut |r, is_def| {
-            if is_def {
-                if let Reg::G(g) = r {
-                    if g.is_virtual() {
-                        *def_count.entry(g.0).or_default() += 1;
-                    }
-                }
-            }
-        });
-    }
+    let def_count = virtual_def_counts(irs.iter().map(|x| &x.inst));
     let single = |g: Gr, dc: &HashMap<u16, u32>| dc.get(&g.0).copied() == Some(1);
 
     let mut konst: HashMap<u16, u64> = HashMap::new();
@@ -483,6 +461,125 @@ pub(super) fn eflags_elim(irs: &mut Vec<IrInst>) {
             idx += 1;
             k
         });
+    }
+}
+
+/// Number of definitions of each virtual general register.
+fn virtual_def_counts<'a>(insts: impl Iterator<Item = &'a ipf::Inst>) -> HashMap<u16, u32> {
+    let mut counts: HashMap<u16, u32> = HashMap::new();
+    for inst in insts {
+        inst.op.visit_regs(&mut |r, is_def| {
+            if let Reg::G(g) = r {
+                if is_def && g.is_virtual() {
+                    *counts.entry(g.0).or_default() += 1;
+                }
+            }
+        });
+    }
+    counts
+}
+
+/// Whether an immediate, taken as a 64-bit value, has bits 63..32 zero.
+fn imm_upper_zero(imm: i64) -> bool {
+    (0..1 << 32).contains(&imm)
+}
+
+/// Whether `op` defines its GR destination with bits 63..32 zero,
+/// given which source registers are already known to be zero-extended.
+/// Anything that can carry or sign-extend past bit 31 (`add`, `sub`,
+/// `shladd`, `adds` with a nonzero immediate, `sxt`, left shifts) is
+/// never known.
+fn defines_upper_zero(op: &Op, known: &dyn Fn(Gr) -> bool) -> bool {
+    use Op::*;
+    match *op {
+        Ld { sz, .. } => sz <= 4,
+        Zxt { .. } | Popcnt { .. } => true,
+        Movl { imm, .. } => imm < 1 << 32,
+        AddImm { imm, a, .. } => (a.0 == 0 && imm_upper_zero(imm)) || (imm == 0 && known(a)),
+        And { a, b, .. } => known(a) || known(b),
+        AndCm { a, .. } => known(a),
+        AndImm { imm, a, .. } => imm_upper_zero(imm) || known(a),
+        Or { a, b, .. } | Xor { a, b, .. } => known(a) && known(b),
+        OrImm { imm, a, .. } | XorImm { imm, a, .. } => imm_upper_zero(imm) && known(a),
+        Extr {
+            len, signed: false, ..
+        } => len <= 32,
+        // Arithmetic and logical right shifts agree on a value whose
+        // bit 63 is clear.
+        ShrImm { a, .. } | ShrVar { a, .. } => known(a),
+        Dep {
+            target, pos, len, ..
+        } => pos as u32 + len as u32 <= 32 && known(target),
+        DepZ { pos, len, .. } => pos as u32 + len as u32 <= 32,
+        _ => false,
+    }
+}
+
+/// Known-upper-zero analysis: rewrites `zxt4 d = a` into the copy
+/// `d = a` when bits 63..32 of `a` are already known to be zero.
+///
+/// A forward scan over the straight-line trace tracks which general
+/// registers are zero-extended. The guest homes are at trace entry —
+/// every writer keeps them so (`state::machine_to_cpu` asserts it) —
+/// and `r0` always is; every other register becomes known only through
+/// a def [`defines_upper_zero`] vouches for. A predicated def is known
+/// only if the old and the new value both are, and a virtual with
+/// several defs is never known.
+pub(super) fn drop_redundant_zext(irs: &mut [IrInst]) {
+    use crate::state::GR_GUEST;
+    let def_count = virtual_def_counts(irs.iter().map(|x| &x.inst));
+    let mut known: std::collections::HashSet<u16> = (GR_GUEST..GR_GUEST + 8).collect();
+    for x in irs.iter_mut() {
+        let zero = |g: Gr| g.0 == 0 || known.contains(&g.0);
+        if let Op::Zxt { d, a, size: 4 } = x.inst.op {
+            if zero(a) {
+                x.inst.op = Op::AddImm { d, imm: 0, a };
+                x.fx = ir::Effects::of(&x.inst);
+            }
+        }
+        let new_zero = defines_upper_zero(&x.inst.op, &zero);
+        for r in x.inst.op.defs() {
+            let Reg::G(g) = r else { continue };
+            let single = !g.is_virtual() || def_count.get(&g.0) == Some(&1);
+            if single && new_zero && (x.inst.qp == P0 || known.contains(&g.0)) {
+                known.insert(g.0);
+            } else {
+                known.remove(&g.0);
+            }
+        }
+    }
+}
+
+/// Guest-home read forwarding: after an unpredicated `gX = v` copy of
+/// a single-def virtual, later reads of the guest home `gX` read `v`
+/// until `gX` is redefined.
+///
+/// The writeback itself stays, so the home is canonical at every side
+/// exit and commit point (the scheduler keeps state writes on their
+/// side of each barrier) and recovery maps, exit stubs, signals and
+/// SMC recovery see what they always did. The writeback only leaves
+/// the dependence chain of the instructions that follow it.
+pub(super) fn forward_guest_reads(irs: &mut [IrInst]) {
+    use crate::state::GR_GUEST;
+    let home = |g: Gr| (GR_GUEST..GR_GUEST + 8).contains(&g.0);
+    let def_count = virtual_def_counts(irs.iter().map(|x| &x.inst));
+    let mut fwd: HashMap<u16, Gr> = HashMap::new();
+    for x in irs.iter_mut() {
+        x.inst.op.map_regs(&mut |r, is_def| match r {
+            Reg::G(g) if !is_def => fwd.get(&g.0).map_or(r, |&v| Reg::G(v)),
+            _ => r,
+        });
+        x.fx = ir::Effects::of(&x.inst);
+        for r in x.inst.op.defs() {
+            if let Reg::G(g) = r {
+                fwd.remove(&g.0);
+            }
+        }
+        if let Op::AddImm { d, imm: 0, a } = x.inst.op {
+            if x.inst.qp == P0 && home(d) && a.is_virtual() && def_count.get(&a.0) == Some(&1) {
+                fwd.insert(d.0, a);
+            }
+        }
     }
 }
 
@@ -834,6 +931,391 @@ mod tests {
             matches!(irs[2].inst.op, Op::St { addr, .. } if addr == v1),
             "store reads through the copy"
         );
+    }
+
+    /// Runs the zero-extension pass over `prefix` followed by
+    /// `zxt4 v = src` and reports whether that `zxt4` became a copy.
+    fn zxt_dropped(s: &mut Sink, prefix: &[ipf::Inst], src: Gr) -> bool {
+        let v = s.vg();
+        let mut ils: Vec<HotIl> = prefix.iter().map(|&i| il(i)).collect();
+        ils.push(il(ipf::Inst::new(Op::Zxt {
+            d: v,
+            a: src,
+            size: 4,
+        })));
+        let mut irs = ir::annotate(&ils);
+        drop_redundant_zext(&mut irs);
+        match irs.last().unwrap().inst.op {
+            Op::AddImm { d, imm: 0, a } => {
+                assert_eq!((d, a), (v, src), "the copy keeps both operands");
+                true
+            }
+            Op::Zxt { .. } => false,
+            other => panic!("unexpected rewrite {other:?}"),
+        }
+    }
+
+    #[test]
+    fn zext_known_sources() {
+        use ipf::inst::Inst as I;
+        let mut s = Sink::new();
+        let g = crate::state::guest_gpr(2);
+        assert!(zxt_dropped(&mut s, &[], g), "guest homes");
+        assert!(zxt_dropped(&mut s, &[], R0), "r0");
+        for sz in [1, 2, 4] {
+            let v = s.vg();
+            let ld = I::new(Op::Ld {
+                sz,
+                d: v,
+                addr: g,
+                spec: false,
+            });
+            assert!(zxt_dropped(&mut s, &[ld], v), "ld{sz}");
+        }
+        let v = s.vg();
+        let ld8 = I::new(Op::Ld {
+            sz: 8,
+            d: v,
+            addr: g,
+            spec: false,
+        });
+        assert!(!zxt_dropped(&mut s, &[ld8], v), "ld8");
+        let v = s.vg();
+        let zxt1 = I::new(Op::Zxt {
+            d: v,
+            a: g,
+            size: 1,
+        });
+        assert!(zxt_dropped(&mut s, &[zxt1], v), "zxt1");
+        let v = s.vg();
+        let pop = I::new(Op::Popcnt { d: v, a: g });
+        assert!(zxt_dropped(&mut s, &[pop], v), "popcnt");
+        let v = s.vg();
+        let small = I::new(Op::Movl {
+            d: v,
+            imm: 0xFFFF_FFFF,
+        });
+        assert!(zxt_dropped(&mut s, &[small], v), "movl below 2^32");
+        let v = s.vg();
+        let big = I::new(Op::Movl { d: v, imm: 1 << 32 });
+        assert!(!zxt_dropped(&mut s, &[big], v), "movl of 2^32");
+        let v = s.vg();
+        let mov = I::new(Op::AddImm {
+            d: v,
+            imm: 0x1234,
+            a: R0,
+        });
+        assert!(zxt_dropped(&mut s, &[mov], v), "mov of a small constant");
+        let v = s.vg();
+        let neg = I::new(Op::AddImm {
+            d: v,
+            imm: -1,
+            a: R0,
+        });
+        assert!(!zxt_dropped(&mut s, &[neg], v), "mov of -1");
+    }
+
+    #[test]
+    fn zext_logic_rules() {
+        use ipf::inst::Inst as I;
+        let mut s = Sink::new();
+        let g = crate::state::guest_gpr(0);
+        // `u` has unknown upper bits (an add can carry past bit 31).
+        let u = s.vg();
+        let add = I::new(Op::Add { d: u, a: g, b: g });
+        let case = |s: &mut Sink, op: &dyn Fn(Gr) -> Op| {
+            let d = s.vg();
+            zxt_dropped(s, &[add, I::new(op(d))], d)
+        };
+        assert!(case(&mut s, &|d| Op::And { d, a: u, b: g }), "and, known b");
+        assert!(case(&mut s, &|d| Op::And { d, a: g, b: u }), "and, known a");
+        assert!(
+            !case(&mut s, &|d| Op::And { d, a: u, b: u }),
+            "and, unknown"
+        );
+        assert!(
+            case(&mut s, &|d| Op::AndCm { d, a: g, b: u }),
+            "andcm, known a"
+        );
+        assert!(
+            !case(&mut s, &|d| Op::AndCm { d, a: u, b: g }),
+            "andcm, only b"
+        );
+        assert!(case(&mut s, &|d| Op::AndImm {
+            d,
+            imm: 0xFFF,
+            a: u
+        }));
+        assert!(
+            !case(&mut s, &|d| Op::AndImm { d, imm: -8, a: u }),
+            "and -8"
+        );
+        assert!(
+            case(&mut s, &|d| Op::AndImm { d, imm: -8, a: g }),
+            "known a"
+        );
+        assert!(
+            case(&mut s, &|d| Op::Or { d, a: g, b: g }),
+            "or, both known"
+        );
+        assert!(
+            !case(&mut s, &|d| Op::Or { d, a: g, b: u }),
+            "or, one unknown"
+        );
+        assert!(
+            case(&mut s, &|d| Op::Xor { d, a: g, b: R0 }),
+            "xor, both known"
+        );
+        assert!(
+            !case(&mut s, &|d| Op::Xor { d, a: u, b: g }),
+            "xor, one unknown"
+        );
+        assert!(case(&mut s, &|d| Op::XorImm { d, imm: 0xFF, a: g }));
+        assert!(!case(&mut s, &|d| Op::XorImm { d, imm: -1, a: g }), "not");
+        let extr = |len, signed| {
+            move |d| Op::Extr {
+                d,
+                a: u,
+                pos: 3,
+                len,
+                signed,
+            }
+        };
+        assert!(case(&mut s, &extr(32, false)), "extr.u len 32");
+        assert!(!case(&mut s, &extr(33, false)), "extr.u len 33");
+        assert!(!case(&mut s, &extr(8, true)), "extr (signed)");
+        let shr = |a, signed| {
+            move |d| Op::ShrImm {
+                d,
+                a,
+                count: 4,
+                signed,
+            }
+        };
+        assert!(case(&mut s, &shr(g, false)), "shr.u of known");
+        assert!(case(&mut s, &shr(g, true)), "shr of known");
+        assert!(!case(&mut s, &shr(u, false)), "shr.u of unknown");
+        let dep = |target, len| {
+            move |d| Op::Dep {
+                d,
+                src: u,
+                target,
+                pos: 8,
+                len,
+            }
+        };
+        assert!(case(&mut s, &dep(g, 8)), "byte merge into a home");
+        assert!(!case(&mut s, &dep(g, 32)), "field past bit 31");
+        assert!(!case(&mut s, &dep(u, 8)), "unknown background");
+    }
+
+    #[test]
+    fn zext_never_known_after_carrying_ops() {
+        use ipf::inst::Inst as I;
+        let mut s = Sink::new();
+        let g = crate::state::guest_gpr(1);
+        let carrying: [&dyn Fn(Gr) -> Op; 6] = [
+            &|d| Op::Add { d, a: g, b: g },
+            &|d| Op::Sub { d, a: g, b: g },
+            &|d| Op::Shladd {
+                d,
+                a: g,
+                count: 2,
+                b: g,
+            },
+            &|d| Op::AddImm { d, imm: 4, a: g },
+            &|d| Op::AddImm { d, imm: -1, a: g },
+            &|d| Op::Sxt { d, a: g, size: 4 },
+        ];
+        for op in carrying {
+            let d = s.vg();
+            let def = I::new(op(d));
+            assert!(!zxt_dropped(&mut s, &[def], d), "{:?}", def.op);
+        }
+        // A home redefined by a carrying op stops being known.
+        let add = I::new(Op::AddImm { d: g, imm: 1, a: g });
+        assert!(!zxt_dropped(&mut s, &[add], g), "home after adds");
+        // ... and a copy of a known value makes it known again.
+        let v = s.vg();
+        let copy = I::new(Op::AddImm { d: g, imm: 0, a: v });
+        let zxt = I::new(Op::Zxt {
+            d: v,
+            a: g,
+            size: 4,
+        });
+        assert!(zxt_dropped(&mut s, &[add, zxt, copy], g), "home after copy");
+    }
+
+    #[test]
+    fn zext_predicated_and_multi_def() {
+        use ipf::inst::Inst as I;
+        let mut s = Sink::new();
+        let g = crate::state::guest_gpr(3);
+        let p = s.vp();
+        let (known, unknown) = (s.vg(), s.vg());
+        let setup = [
+            I::new(Op::Zxt {
+                d: known,
+                a: g,
+                size: 2,
+            }),
+            I::new(Op::Add {
+                d: unknown,
+                a: g,
+                b: g,
+            }),
+        ];
+        // Predicated def of a known value over a known home: known.
+        let mut prefix = setup.to_vec();
+        prefix.push(I::pred(
+            p,
+            Op::AddImm {
+                d: g,
+                imm: 0,
+                a: known,
+            },
+        ));
+        assert!(zxt_dropped(&mut s, &prefix, g), "known merged into known");
+        // Predicated def of an unknown value: the merge is unknown.
+        let mut prefix = setup.to_vec();
+        prefix.push(I::pred(
+            p,
+            Op::AddImm {
+                d: g,
+                imm: 0,
+                a: unknown,
+            },
+        ));
+        assert!(!zxt_dropped(&mut s, &prefix, g), "unknown merged in");
+        // Predicated known def over an unknown old value: unknown.
+        let mut prefix = setup.to_vec();
+        prefix.push(I::new(Op::AddImm {
+            d: g,
+            imm: 0,
+            a: unknown,
+        }));
+        prefix.push(I::pred(
+            p,
+            Op::AddImm {
+                d: g,
+                imm: 0,
+                a: known,
+            },
+        ));
+        assert!(
+            !zxt_dropped(&mut s, &prefix, g),
+            "known merged into unknown"
+        );
+        // A virtual with two defs is never known, even if both are.
+        let m = s.vg();
+        let twice = [
+            I::new(Op::Zxt {
+                d: m,
+                a: g,
+                size: 1,
+            }),
+            I::new(Op::Zxt {
+                d: m,
+                a: g,
+                size: 2,
+            }),
+        ];
+        assert!(!zxt_dropped(&mut s, &twice, m), "multi-def virtual");
+    }
+
+    /// The source register of the store closing a forwarding test.
+    fn stored_value(irs: &[IrInst]) -> Gr {
+        match irs.last().unwrap().inst.op {
+            Op::St { val, .. } => val,
+            other => panic!("store expected, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn forwarding_reads_the_renamed_value() {
+        use ipf::inst::Inst as I;
+        let mut s = Sink::new();
+        let (v, addr) = (s.vg(), s.vg());
+        let g = crate::state::guest_gpr(5);
+        let mut irs = ir::annotate(&[
+            il(I::new(Op::Ld {
+                sz: 4,
+                d: v,
+                addr,
+                spec: false,
+            })),
+            il(I::new(Op::AddImm { d: g, imm: 0, a: v })),
+            il(I::new(Op::St {
+                sz: 4,
+                addr,
+                val: g,
+            })),
+        ]);
+        forward_guest_reads(&mut irs);
+        assert_eq!(stored_value(&irs), v, "the read skips the home");
+        assert!(
+            matches!(irs[1].inst.op, Op::AddImm { d, a, .. } if d == g && a == v),
+            "the writeback stays"
+        );
+        assert_eq!(irs[2].fx.guest_reads, 0, "effects recomputed");
+    }
+
+    #[test]
+    fn forwarding_ends() {
+        use ipf::inst::Inst as I;
+        let mut s = Sink::new();
+        let g = crate::state::guest_gpr(6);
+        let (v, addr, p) = (s.vg(), s.vg(), s.vp());
+        let ld = I::new(Op::Ld {
+            sz: 4,
+            d: v,
+            addr,
+            spec: false,
+        });
+        let copy = I::new(Op::AddImm { d: g, imm: 0, a: v });
+        let st = I::new(Op::St {
+            sz: 4,
+            addr,
+            val: g,
+        });
+        let run = |insts: &[I]| {
+            let mut irs = ir::annotate(&insts.iter().map(|&i| il(i)).collect::<Vec<_>>());
+            forward_guest_reads(&mut irs);
+            irs
+        };
+        // The home is redefined: an RMW reads the forwarded value, but
+        // later reads see the new home.
+        let rmw = I::new(Op::AddImm { d: g, imm: 1, a: g });
+        let irs = run(&[ld, copy, rmw, st]);
+        assert!(matches!(irs[2].inst.op, Op::AddImm { a, .. } if a == v));
+        assert_eq!(stored_value(&irs), g, "redefined home");
+        // A predicated def ends forwarding too.
+        let pdef = I::pred(
+            p,
+            Op::AddImm {
+                d: g,
+                imm: 7,
+                a: R0,
+            },
+        );
+        assert_eq!(
+            stored_value(&run(&[ld, copy, pdef, st])),
+            g,
+            "predicated def"
+        );
+        // A predicated copy never starts it.
+        let pcopy = I::pred(p, Op::AddImm { d: g, imm: 0, a: v });
+        assert_eq!(stored_value(&run(&[ld, pcopy, st])), g, "predicated copy");
+        // A multi-def virtual source never starts it.
+        let again = I::new(Op::AddImm { d: v, imm: 1, a: v });
+        assert_eq!(stored_value(&run(&[ld, again, copy, st])), g, "multi-def");
+        // `adds` with a nonzero immediate is not a copy.
+        let adds = I::new(Op::AddImm {
+            d: g,
+            imm: -1,
+            a: v,
+        });
+        assert_eq!(stored_value(&run(&[ld, adds, st])), g, "adds -1");
     }
 
     #[test]

@@ -1357,11 +1357,12 @@ fn compile_template(
     ))
 }
 
-/// The typed-IR pipeline: constant/copy propagation, shared LVN,
-/// cross-block EFLAGS elimination, shared DCE, recovery assignment,
-/// per-op liveness with constraint-driven allocation (spilling under
-/// general-register pressure), and the backend scheduler over the
-/// allocated code. `None` when a constraint cannot be satisfied.
+/// The typed-IR pipeline: constant/copy propagation, guest-register
+/// renaming, shared LVN, cross-block EFLAGS elimination, shared DCE,
+/// recovery assignment, per-op liveness with constraint-driven
+/// allocation (spilling under general-register pressure), and the
+/// backend scheduler over the allocated code. `None` when a constraint
+/// cannot be satisfied.
 fn compile_ir(
     ils: &[HotIl],
     perm_by_ip: &HashMap<u32, [u8; 8]>,
@@ -1388,14 +1389,18 @@ fn compile_ir(
     }
 }
 
-/// Runs the shared tail of the IR pipeline (LVN, EFlags elimination,
-/// DCE, pre-allocation scheduling, register allocation, backend stop
-/// insertion) and returns the statically priced result.
+/// Runs the shared tail of the IR pipeline (guest-register renaming —
+/// redundant zero-extension elimination and guest-home read
+/// forwarding — then LVN, EFlags elimination, DCE, pre-allocation
+/// scheduling, register allocation, backend stop insertion) and
+/// returns the statically priced result.
 fn compile_ir_variant(
     mut irs: Vec<ir::IrInst>,
     perm_by_ip: &HashMap<u32, [u8; 8]>,
     superinst: bool,
 ) -> Option<(u64, CompiledCode, Vec<RecEntry>)> {
+    opt::drop_redundant_zext(&mut irs);
+    opt::forward_guest_reads(&mut irs);
     opt::lvn_ir(&mut irs);
     opt::eflags_elim(&mut irs);
     if superinst {

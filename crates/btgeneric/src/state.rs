@@ -175,7 +175,15 @@ pub fn cpu_to_machine(cpu: &Cpu, m: &mut Machine) {
 pub fn machine_to_cpu(m: &Machine, eip: u32) -> Cpu {
     let mut cpu = Cpu::new();
     for i in 0..8 {
-        cpu.gpr[i as usize] = m.gr[(GR_GUEST + i) as usize] as u32;
+        let v = m.gr[(GR_GUEST + i) as usize];
+        // Every writer keeps the guest homes zero-extended; the hot
+        // optimizer's zero-extension elimination relies on it.
+        debug_assert!(
+            v >> 32 == 0,
+            "guest home r{} not zero-extended: {v:#x}",
+            GR_GUEST + i
+        );
+        cpu.gpr[i as usize] = v as u32;
     }
     cpu.eip = eip;
     cpu.eflags = (m.gr[GR_EFLAGS.0 as usize] as u32) | ia32::flags::RESERVED_ONES;

@@ -581,7 +581,9 @@ impl Machine {
         // Qualifying predicate is a read.
         let qp_ready = self.pr_ready[inst.qp.phys()];
         let mut reads_max = self.group.read_ready_max.max(qp_ready);
-        let mut writes: Vec<(u8, u16)> = Vec::with_capacity(2);
+        // Defs go straight into the group's fixed write table (writes
+        // land at group close, so they cannot affect this op's reads).
+        let g = &mut self.group;
         inst.op.visit_regs(&mut |reg, is_def| {
             use crate::inst::Reg;
             let (class, idx) = match reg {
@@ -591,7 +593,10 @@ impl Machine {
                 Reg::B(r) => (CLASS_B, r.phys()),
             };
             if is_def {
-                writes.push((class, idx as u16));
+                if g.nwrites < g.writes.len() {
+                    g.writes[g.nwrites] = (class, idx as u16, lat);
+                    g.nwrites += 1;
+                }
             } else {
                 let t = match class {
                     CLASS_G => self.gr_ready[idx],
@@ -604,14 +609,7 @@ impl Machine {
                 }
             }
         });
-        let g = &mut self.group;
         g.read_ready_max = reads_max;
-        for (class, idx) in writes {
-            if g.nwrites < g.writes.len() {
-                g.writes[g.nwrites] = (class, idx, lat);
-                g.nwrites += 1;
-            }
-        }
         match inst.op.unit() {
             Unit::M => g.m += 1,
             Unit::I | Unit::L => g.i += 1,

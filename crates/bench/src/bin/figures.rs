@@ -461,6 +461,7 @@ fn print_trace(div: u32) {
     let tr = trace_run(div.max(1) * 20, TraceConfig::on());
     println!("== Observability: gcc lifecycle trace ==");
     println!("  {}", tr.summary);
+    println!("  {}", tr.el.stats.hot_summary());
     println!();
     println!("-- top-10 hot paths (by attributed simulated cycles) --");
     print!("{}", tr.hot_path);

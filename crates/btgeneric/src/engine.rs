@@ -361,6 +361,12 @@ pub struct BlockInfo {
     pub misalign_faults: u32,
     /// Heat registrations (for the "registered twice" trigger).
     pub registrations: u32,
+    /// A live hot trace runs through this block (entered by a forward
+    /// edge, not as its head): promoting it now would compile a suffix
+    /// of that trace again, so its first heat registration is deferred
+    /// (see [`BlockInfo::first_registration`]). Retranslation starts a
+    /// fresh `BlockInfo` with the mark clear.
+    pub covered: bool,
     /// Degradation-ladder failures charged to this generation.
     pub failures: u32,
     /// Speculation (NaT) failures charged to this generation.
@@ -376,6 +382,17 @@ pub struct BlockInfo {
     pub src_fnv: u64,
     /// Hot recovery data (commit maps), if this is a hot block.
     pub hot: Option<crate::hot::HotData>,
+}
+
+impl BlockInfo {
+    /// Whether the block is on its first heat registration. Deferred
+    /// promotions (a covered candidate, a ret-terminated trace) wait
+    /// for the second: cold code re-fires the Heat stub every
+    /// `heat_threshold` executions, so a block that stays hot comes
+    /// back one window later, while one a trace starves never does.
+    pub fn first_registration(&self) -> bool {
+        self.registrations < 2
+    }
 }
 
 /// FNV-1a over guest source bytes (the per-extent SMC invalidation
@@ -885,7 +902,11 @@ impl Engine {
         range: (u64, u64),
         hot: crate::hot::HotData,
         ia32_insts: usize,
+        covers: &[u32],
     ) {
+        for &c in covers {
+            self.cache.blocks[c as usize].covered = true;
+        }
         let prev = self.cache.blocks[block_id as usize].entry;
         self.forward(prev, entry);
         let commit_points = hot.recovery.len() as u64;
@@ -1603,6 +1624,7 @@ impl Engine {
             misalign_overrides: overrides,
             misalign_faults: 0,
             registrations: 0,
+            covered: false,
             failures: 0,
             spec_failures: 0,
             checksum: 0,
@@ -3108,9 +3130,21 @@ impl Engine {
         let start = self.overhead_cycles();
         let candidates = std::mem::take(&mut self.cache.candidates);
         for id in candidates {
-            let eip = self.cache.blocks[id as usize].eip;
+            let b = &self.cache.blocks[id as usize];
+            let (eip, defer) = (b.eip, b.covered && b.first_registration());
             if self.cache.blacklist.is_blocked(eip, self.machine.cycles) {
                 self.stats.blacklist_hits += 1;
+                continue;
+            }
+            // A live trace already runs through this block. Off-trace
+            // entries that keep it hot re-register it one threshold
+            // window later, and it promotes then; a deferral is not a
+            // failed promotion (no selection, no megamorphic checkpoint).
+            if defer {
+                self.stats.hot_deferrals += 1;
+                if std::env::var_os("EL_DEBUG_HOT").is_some() {
+                    eprintln!("promote {id}: deferred (covered) to re-registration");
+                }
                 continue;
             }
             let built = crate::hot::promote(self, id);

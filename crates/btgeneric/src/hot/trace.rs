@@ -124,6 +124,14 @@ pub(super) struct Trace {
     pub main_exit: u32,
     /// Cold blocks the trace covers, in order (misalignment data).
     pub blocks: Vec<u32>,
+    /// The subset of `blocks` whose own promotion would rebuild a
+    /// suffix of this trace: every block but the head that the trace
+    /// enters by a forward edge (a `jmp`, the on-trace side of a `jcc`,
+    /// or a hammock join). Loop headers (entered by a backward edge) and
+    /// call targets / return continuations (entered through a
+    /// [`Step::Terminator`]) stay out — each is a better trace head than
+    /// the block that happened to heat first.
+    pub covers: Vec<u32>,
     /// Whether a loop back to the head was unrolled once.
     pub unrolled: bool,
 }
@@ -195,8 +203,12 @@ pub(super) fn select(engine: &Engine, block_id: u32) -> Option<Trace> {
     let budget = engine.cfg.max_trace_insts;
     let mut steps = Vec::new();
     let mut blocks = Vec::new();
+    let mut covers = Vec::new();
     let mut visited = HashSet::new();
     let mut cur = start;
+    // How the trace entered `cur`: by a forward jump-like edge (see
+    // `Trace::covers`). The head is entered by nothing.
+    let mut forward = false;
     let mut total = 0usize;
     // Selection-time return-address stack: a direct or devirtualized
     // call pushes its return EIP so a later `ret` on the same trace
@@ -229,6 +241,9 @@ pub(super) fn select(engine: &Engine, block_id: u32) -> Option<Trace> {
             break;
         };
         blocks.push(info.id);
+        if forward {
+            covers.push(info.id);
+        }
         let n = blk.insts.len();
         for (i, (ip, inst, len)) in blk.insts.iter().enumerate() {
             if total >= budget || trace_hostile(inst) {
@@ -239,6 +254,7 @@ pub(super) fn select(engine: &Engine, block_id: u32) -> Option<Trace> {
             if is_term {
                 match inst {
                     I32::Jmp { target } => {
+                        forward = *target > *ip;
                         cur = *target;
                         continue 'outer;
                     }
@@ -255,6 +271,7 @@ pub(super) fn select(engine: &Engine, block_id: u32) -> Option<Trace> {
                                 ip: *ip,
                             });
                             total += 1;
+                            forward = *target > *ip;
                             cur = *target;
                             continue 'outer;
                         } else if fall >= 2 * taken + 8 {
@@ -266,6 +283,7 @@ pub(super) fn select(engine: &Engine, block_id: u32) -> Option<Trace> {
                                 ip: *ip,
                             });
                             total += 1;
+                            forward = true;
                             cur = next;
                             continue 'outer;
                         }
@@ -290,6 +308,7 @@ pub(super) fn select(engine: &Engine, block_id: u32) -> Option<Trace> {
                                     });
                                     total += 1;
                                 }
+                                forward = true;
                                 cur = *target;
                                 continue 'outer;
                             }
@@ -313,6 +332,7 @@ pub(super) fn select(engine: &Engine, block_id: u32) -> Option<Trace> {
                                 ip: *ip,
                             });
                             total += 1;
+                            forward = on_trace > *ip;
                             cur = on_trace;
                             continue 'outer;
                         }
@@ -378,6 +398,7 @@ pub(super) fn select(engine: &Engine, block_id: u32) -> Option<Trace> {
                                     ic_slot,
                                 });
                                 total += 1;
+                                forward = false;
                                 cur = predicted;
                                 continue 'outer;
                             }
@@ -441,7 +462,13 @@ pub(super) fn select(engine: &Engine, block_id: u32) -> Option<Trace> {
             total += 1;
         }
         match blk.end {
-            BlockEnd::FallThrough => cur = blk.end_ip(),
+            BlockEnd::FallThrough => {
+                // A block boundary with no branch here exists because
+                // something else jumps to it — typically a loop header
+                // entered from above — so it stays a candidate head.
+                forward = false;
+                cur = blk.end_ip();
+            }
             _ => {
                 main_exit = blk.end_ip();
                 break;
@@ -476,6 +503,7 @@ pub(super) fn select(engine: &Engine, block_id: u32) -> Option<Trace> {
         steps,
         main_exit,
         blocks,
+        covers,
         unrolled,
     })
 }
@@ -559,10 +587,10 @@ pub fn promote(engine: &mut Engine, block_id: u32) -> bool {
             inst: I32::Ret { .. },
             ..
         })
-    ) && engine.block(block_id).registrations < 2
+    ) && engine.block(block_id).first_registration()
     {
         if std::env::var_os("EL_DEBUG_HOT").is_some() {
-            eprintln!("promote {block_id}: ret trace deferred to re-registration");
+            eprintln!("promote {block_id}: deferred (ret) to re-registration");
         }
         return false;
     }
@@ -1286,6 +1314,7 @@ fn build_and_install(engine: &mut Engine, block_id: u32, trace: &Trace) -> Optio
         (entry, entry + n_bundles * ipf::Bundle::SIZE),
         hot,
         ia32_count as usize,
+        &trace.covers,
     );
     let _ = trace.unrolled;
     Some(())

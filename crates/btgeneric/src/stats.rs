@@ -33,6 +33,11 @@ pub struct Stats {
     pub hot_side_exits: u64,
     /// Heating-threshold triggers.
     pub heat_events: u64,
+    /// Hot-session candidates deferred on their first heat registration
+    /// because a live trace already covers them (entered by a forward
+    /// edge, not as its head). A block still hot off the trace comes
+    /// back one threshold window later and promotes then.
+    pub hot_deferrals: u64,
     /// Indirect-branch lookup misses handled.
     pub indirect_misses: u64,
     /// Inline-cache hits across all indirect jmp/call sites (summed
@@ -311,6 +316,24 @@ impl Stats {
             self.lookup_collisions,
             self.cache_flushes,
             self.dispatch_fast_hits
+        )
+    }
+
+    /// One-line hot-phase summary (traces built, what they cover, how
+    /// they exit, and candidates deferred because a live trace already
+    /// covers them) for bench/figures output.
+    pub fn hot_summary(&self) -> String {
+        format!(
+            "hot traces {} ({} IA-32 insts, {} commit points), heat events {}, \
+             deferrals {} (covered), side exits {}, deopts {}, demotions {}",
+            self.hot_traces,
+            self.hot_ia32_insts,
+            self.hot_commit_points,
+            self.heat_events,
+            self.hot_deferrals,
+            self.hot_side_exits,
+            self.deopts,
+            self.demotions
         )
     }
 

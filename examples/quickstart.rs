@@ -78,8 +78,7 @@ fn main() {
     println!();
     println!("translator statistics (the paper's Figure 2 in action):");
     println!("  cold blocks translated: {}", s.cold_blocks);
-    println!("  hot traces generated:   {}", s.hot_traces);
-    println!("  heat events:            {}", s.heat_events);
+    println!("  hot phase:              {}", s.hot_summary());
     println!("  syscalls serviced:      {}", s.syscalls);
     let dist = btgeneric::stats::TimeDistribution::from_region_cycles(
         &process.engine.machine.region_cycles,
